@@ -1,25 +1,23 @@
-"""Host fault recovery: supervised worker-pool crash overhead, measured.
+"""Host fault recovery: supervised thread-pool task-kill overhead, measured.
 
 The sim-timeline twin (``bench_fault_recovery.py``) scripts failures on
-simulated clocks; this experiment kills a **real worker process** mid-
-batch and measures what supervision costs on the wall clock. A process-
-backend deployment serves repeated query windows through three phases:
+simulated clocks; this experiment kills **pool tasks** mid-batch and
+measures what supervision costs on the wall clock. A thread-backend
+deployment serves repeated query windows through three phases:
 
 1. **healthy** — baseline windows on the full pool.
-2. **chaos** — a seeded :class:`HostFaultInjector` kills one worker on
-   its first task of the window (plus a straggler delay on a survivor).
-   The supervisor must detect the death, requeue the dead worker's
-   tasks onto survivors, respawn it in the background, and finish the
-   window **byte-identical** to the healthy baseline — without falling
-   back to the thread path.
-3. **recovered** — the next windows run on the healed pool; fault
-   counters must read zero and results must still match.
+2. **chaos** — a seeded :class:`HostFaultInjector` kills the first task
+   of the window at entry (plus a straggler delay on later tasks). The
+   supervisor must requeue the killed task and finish the window
+   **byte-identical** to the healthy baseline.
+3. **recovered** — the next windows run with the injector detached;
+   fault counters must read zero and results must still match.
 
 Outputs ``results/BENCH_host_fault_recovery.json`` (per-window timeline
 + recovery counters) and ``results/host_fault_recovery.txt``.
 ``--smoke`` runs one window per phase and exits non-zero if any window
-diverges from the baseline, the chaos window fell back to threads, or
-no respawn was observed::
+diverges from the baseline, no requeue was observed in the chaos
+phase, or the recovered phase shows fault activity::
 
     PYTHONPATH=../src python bench_host_fault_recovery.py          # full
     PYTHONPATH=../src python bench_host_fault_recovery.py --smoke  # CI gate
@@ -37,7 +35,7 @@ import _common as c
 from repro.cluster.host_faults import DelayScan, HostFaultInjector, KillWorker
 
 DATASET = "sift1m"
-N_WORKERS = 2
+N_THREADS = 2
 FULL_WINDOWS_PER_PHASE = 3
 SMOKE_WINDOWS_PER_PHASE = 1
 FULL_QUERIES = 256
@@ -53,7 +51,7 @@ def run_timeline(
     gt = c.get_ground_truth(DATASET)
     queries = dataset.queries[:n_queries]
     db = c.deploy(
-        DATASET, c.Mode.HARMONY, backend="process", n_workers=N_WORKERS
+        DATASET, c.Mode.HARMONY, backend="thread", n_threads=N_THREADS
     )
 
     windows = []
@@ -68,18 +66,13 @@ def run_timeline(
             if report.fault_stats is not None
             else {}
         )
-        backend = db._host_backend
         row = {
             "window": len(windows),
             "phase": phase,
             "wall_seconds": elapsed,
             "qps": len(queries) / elapsed,
-            "worker_respawns": stats.get("worker_respawns", 0),
             "tasks_requeued": stats.get("tasks_requeued", 0),
             "scan_timeouts": stats.get("scan_timeouts", 0),
-            "fallback_active": bool(
-                backend is not None and backend.fallback_active
-            ),
             "recall_at_k": c.recall_at_k(result.ids, gt[: len(queries)]),
             "matches_baseline": bool(
                 "ids" in baseline
@@ -91,15 +84,14 @@ def run_timeline(
         log(
             f"  window {row['window']} [{phase:>9}] "
             f"{row['wall_seconds'] * 1e3:>7.1f} ms  "
-            f"respawns {row['worker_respawns']}  "
             f"requeued {row['tasks_requeued']}  "
             f"exact {'yes' if row['matches_baseline'] else 'n/a'}"
         )
         return result
 
     log(
-        f"host fault recovery: {DATASET}, process backend, "
-        f"{N_WORKERS} workers, {len(queries)} queries/window"
+        f"host fault recovery: {DATASET}, thread backend, "
+        f"{N_THREADS} threads, {len(queries)} queries/window"
     )
     first = None
     for _ in range(windows_per_phase):
@@ -113,9 +105,9 @@ def run_timeline(
 
     for i in range(windows_per_phase):
         injector = HostFaultInjector(
-            kills=(KillWorker(worker=i % N_WORKERS, at_task=0),),
+            kills=(KillWorker(worker=i % N_THREADS, at_task=0),),
             delays=(
-                DelayScan(seconds=0.002, worker=(i + 1) % N_WORKERS),
+                DelayScan(seconds=0.002, worker=(i + 1) % N_THREADS),
             ),
             seed=i,
         )
@@ -137,13 +129,10 @@ def run_timeline(
         "recovery_overhead": (
             chaos_mean / healthy_mean if healthy_mean > 0 else float("inf")
         ),
-        "total_respawns": sum(w["worker_respawns"] for w in chaos),
         "total_requeued": sum(w["tasks_requeued"] for w in chaos),
         "all_exact": all(w["matches_baseline"] for w in windows),
-        "fallback_ever": any(w["fallback_active"] for w in windows),
         "recovered_clean": all(
-            w["worker_respawns"] == 0 and w["tasks_requeued"] == 0
-            for w in recovered
+            w["tasks_requeued"] == 0 for w in recovered
         ),
     }
     db.close()
@@ -154,8 +143,8 @@ def save_outputs(windows, summary, smoke):
     payload = {
         "workload": {
             "dataset": DATASET,
-            "backend": "process",
-            "n_workers": N_WORKERS,
+            "backend": "thread",
+            "n_threads": N_THREADS,
             "nlist": c.NLIST,
             "nprobe": c.NPROBE,
             "k": c.K,
@@ -172,22 +161,17 @@ def save_outputs(windows, summary, smoke):
             w["window"],
             w["phase"],
             round(w["wall_seconds"] * 1e3, 1),
-            w["worker_respawns"],
             w["tasks_requeued"],
             "yes" if w["matches_baseline"] else "no",
-            "yes" if w["fallback_active"] else "no",
         ]
         for w in windows
     ]
     text = c.format_table(
-        [
-            "window", "phase", "wall ms", "respawns",
-            "requeued", "exact", "fallback",
-        ],
+        ["window", "phase", "wall ms", "requeued", "exact"],
         rows,
         title=(
-            "host fault recovery: worker killed mid-batch -> requeue + "
-            "respawn, byte-exact (wall-clock)"
+            "host fault recovery: task killed mid-batch -> requeue, "
+            "byte-exact (wall-clock)"
         ),
     )
     c.save_result("host_fault_recovery.txt", text)
@@ -199,12 +183,6 @@ def check_invariants(windows, summary):
     failures = []
     if not summary["all_exact"]:
         failures.append("a window diverged from the healthy baseline")
-    if summary["fallback_ever"]:
-        failures.append(
-            "supervisor fell back to threads on a single-worker crash"
-        )
-    if summary["total_respawns"] < 1:
-        failures.append("no worker respawn observed in the chaos phase")
     if summary["total_requeued"] < 1:
         failures.append("no task requeue observed in the chaos phase")
     if not summary["recovered_clean"]:
@@ -218,8 +196,8 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help="one window per phase; fail unless every window is byte-"
-        "exact, the crash was absorbed without thread fallback, and "
-        "the respawn/requeue counters moved",
+        "exact, the requeue counter moved under chaos, and the "
+        "recovered phase is clean",
     )
     args = parser.parse_args(argv)
     per_phase = (
@@ -233,15 +211,14 @@ def main(argv=None):
     print(
         f"recovery overhead: chaos windows ran "
         f"{summary['recovery_overhead']:.2f}x the healthy mean "
-        f"({summary['total_respawns']} respawn(s), "
-        f"{summary['total_requeued']} task(s) requeued)"
+        f"({summary['total_requeued']} task(s) requeued)"
     )
     failures = check_invariants(windows, summary)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print("OK: crash absorbed on the pool, byte-exact, pool healed")
+    print("OK: task kill absorbed on the pool, byte-exact, recovered clean")
     return 0
 
 

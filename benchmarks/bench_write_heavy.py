@@ -19,14 +19,11 @@ plain O(ntotal) memcpy, and sq8, where it additionally re-encodes and
 re-pads every base row (the expensive case the delta path is for) —
 and must stay byte-identical to the serial fp32 oracle after every
 round (asserted). The JSON records per-arm wall-clock, layout
-build/refresh/compaction counters, and per-precision speedups; a
-process-pool pass additionally proves the shared base segment is
-re-homed exactly once (delta overlays ride a small side segment).
+build/refresh/compaction counters, and per-precision speedups.
 
 Results accumulate in ``results/BENCH_write_heavy.json`` plus a text
 table; ``--smoke`` runs a small mix and exits non-zero if any arm
-diverges from the oracle, the delta arm rebuilt its layout, or the
-process pool re-homed shared memory on a delta-only mutation (the CI
+diverges from the oracle or the delta arm rebuilt its layout (the CI
 write-smoke gate — speedup itself is not gated there).
 
 Usage::
@@ -46,7 +43,7 @@ import time
 import numpy as np
 
 import _common as c
-from repro.core.executor import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.executor import SerialBackend, ThreadBackend
 from repro.core.partition import build_plan
 from repro.index.ivf import IVFFlatIndex
 
@@ -156,51 +153,6 @@ def run_arm(params, precision, delta_compact_ratio, failures, label,
     return row
 
 
-def check_process_overlay(params, failures, log=print):
-    """Delta-only mutations must never re-home the shared base segment."""
-    index, queries = build_workload(params)
-    plan = build_plan(
-        index,
-        n_machines=params["n_shards"] * params["n_slices"],
-        n_vector_shards=params["n_shards"],
-        n_dim_blocks=params["n_slices"],
-    )
-    nprobe, k = params["nprobe"], params["k"]
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, delta_compact_ratio=0.5
-    ) as backend:
-        backend.search(queries, k=k, nprobe=nprobe)
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            index.add(
-                rng.standard_normal(
-                    (params["write_rows"], params["dim"])
-                ).astype(np.float32)
-            )
-            result = backend.search(queries, k=k, nprobe=nprobe)
-        ref = SerialBackend(index, plan=plan).search(
-            queries, k=k, nprobe=nprobe
-        )
-        if not np.array_equal(result.ids, ref.ids):
-            failures.append("process overlay diverges from the oracle")
-        if backend.shm_base_rehomes != 1:
-            failures.append(
-                "delta-only mutations re-homed the shared base segment "
-                f"({backend.shm_base_rehomes} re-homes, expected 1)"
-            )
-        if backend.fallback_active:
-            failures.append("process pool fell back to the thread path")
-        stats = {
-            "shm_base_rehomes": int(backend.shm_base_rehomes),
-            "shm_overlay_syncs": int(backend.shm_overlay_syncs),
-        }
-    log(
-        f"  process overlay: {stats['shm_base_rehomes']} base re-home(s),"
-        f" {stats['shm_overlay_syncs']} overlay sync(s)"
-    )
-    return stats
-
-
 def run_suite(params, log=print):
     failures: list[str] = []
     rows = []
@@ -233,11 +185,10 @@ def run_suite(params, log=print):
             f"{speedups[precision]:.2f}x"
         )
         rows.extend(per_arm)
-    overlay = check_process_overlay(params, failures, log=log)
-    return rows, overlay, speedups, failures
+    return rows, speedups, failures
 
 
-def save_outputs(params, rows, overlay, speedups, smoke):
+def save_outputs(params, rows, speedups, smoke):
     payload = {
         "workload": {
             key: params[key]
@@ -249,7 +200,6 @@ def save_outputs(params, rows, overlay, speedups, smoke):
         }
         | {"smoke": smoke, "cpu_count": os.cpu_count()},
         "arms": rows,
-        "process_overlay": overlay,
         "speedup": speedups,
     }
     c.save_result("BENCH_write_heavy.json", json.dumps(payload, indent=2))
@@ -288,8 +238,7 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help=(
-            "small mix; fail on divergence, delta-arm rebuilds, or "
-            "shared-memory re-homing"
+            "small mix; fail on divergence or delta-arm rebuilds"
         ),
     )
     args = parser.parse_args(argv)
@@ -301,8 +250,8 @@ def main(argv=None):
         f"+{params['write_rows']}/-{params['remove_rows']} rows, "
         f"batch {params['batch']}"
     )
-    rows, overlay, speedups, failures = run_suite(params)
-    print("\n" + save_outputs(params, rows, overlay, speedups, args.smoke))
+    rows, speedups, failures = run_suite(params)
+    print("\n" + save_outputs(params, rows, speedups, args.smoke))
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
@@ -310,21 +259,21 @@ def main(argv=None):
     if args.smoke:
         print(
             "OK: both arms match the serial oracle; delta-only "
-            "mutations left the layout and shared memory in place"
+            "mutations left the layout in place"
         )
     return 0
 
 
 def test_bench_write_heavy(benchmark, capsys):
     """Pytest entry point (smoke workload) for the benchmark suite."""
-    rows, overlay, speedups, failures = benchmark.pedantic(
+    rows, speedups, failures = benchmark.pedantic(
         lambda: run_suite(SMOKE, log=lambda *_: None),
         rounds=1,
         iterations=1,
     )
     assert not failures, failures
     with capsys.disabled():
-        print(save_outputs(SMOKE, rows, overlay, speedups, smoke=True))
+        print(save_outputs(SMOKE, rows, speedups, smoke=True))
 
 
 if __name__ == "__main__":

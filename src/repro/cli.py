@@ -58,23 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--backend",
         default="sim",
-        choices=["sim", "thread", "process", "serial"],
+        choices=["sim", "thread", "serial"],
         help="execution backend: simulated cluster (timing model), "
-        "host threads, worker processes over shared memory, or the "
-        "serial reference loop",
+        "host threads, or the serial reference loop",
     )
     run.add_argument(
         "--threads",
         type=int,
         default=None,
         help="worker threads for --backend thread",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --backend process "
-        "(default: one per CPU core)",
     )
     run.add_argument(
         "--no-batch-queries",
@@ -238,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         default="thread",
-        choices=["thread", "process", "serial"],
+        choices=["thread", "serial"],
         help="host backend the server executes batches on",
     )
     serve.add_argument(
@@ -305,7 +297,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.backend,
         n_threads=args.threads,
-        n_workers=args.workers,
         batch_queries=not args.no_batch_queries,
         scan_precision=args.scan_precision,
         scan_timeout=args.scan_timeout,

@@ -32,7 +32,6 @@ from repro.cluster.messages import (
 )
 from repro.cluster.host_faults import (
     DelayScan,
-    DropSharedMemory,
     HostFaultCounters,
     HostFaultError,
     HostFaultInjector,
@@ -53,7 +52,6 @@ __all__ = [
     "Cluster",
     "CommMode",
     "DelayScan",
-    "DropSharedMemory",
     "FaultEvent",
     "FaultSchedule",
     "HostFaultCounters",

@@ -1,36 +1,22 @@
 """Deterministic chaos injection for the *host* execution path.
 
 :mod:`repro.cluster.faults` scripts failures on the simulated
-timeline; this module is its wall-clock twin for the real backends.
+timeline; this module is its wall-clock twin for the thread backend.
 A :class:`HostFaultInjector` carries a seeded schedule of injection
-points that the thread and process backends consult at well-defined
-moments:
+points that the backend consults at well-defined moments:
 
-- **kill** (:class:`KillWorker`) — worker ``N`` dies when it *starts*
-  its ``T``-th task. On the process backend the worker process calls
-  ``os._exit`` (a genuine SIGKILL-equivalent death the supervisor must
-  detect, requeue around, and respawn); on the thread backend the task
-  raises :class:`InjectedWorkerKill` at entry — before any shared
-  state is touched — so the supervisor can re-run it safely.
+- **kill** (:class:`KillWorker`) — the ``T``-th task raises
+  :class:`InjectedWorkerKill` at entry — before any shared state is
+  touched — so the supervisor can re-run it safely.
 - **delay** (:class:`DelayScan`) — straggler emulation: matching
   tasks run ``multiplier``x slower (the task is timed and the excess
   slept) or sleep a fixed ``seconds``. Exercises the scan-timeout
   watchdog and hedged re-issue.
-- **drop shm** (:class:`DropSharedMemory`) — the shared layout
-  segment disappears before dispatch ``at_batch``; the process
-  backend must treat this as total pool loss and fall back to the
-  thread path (the only case fallback is still allowed for).
 
-Kills fire at task *boundaries* — never inside a deque lock or a
+Kills fire at task *boundaries* — never inside a lock or a
 half-merged heap — so every schedule is replayable and the recovery
 contract stays testable: coverage 1.0 results must be byte-identical
 to the serial oracle no matter which schedule ran.
-
-The injector is parent-owned. Worker processes receive only a plain
-picklable spec (:meth:`HostFaultInjector.process_spec`); the parent
-disarms a kill rule once it observes the death
-(:meth:`on_worker_death`), so a respawned worker does not re-die on
-the same rule and crash-loop.
 """
 
 from __future__ import annotations
@@ -40,10 +26,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Exit code used by chaos-killed worker processes (visible in
-#: ``Process.exitcode`` — distinguishes injected deaths from bugs).
-CHAOS_EXIT_CODE = 42
 
 
 class HostFaultError(RuntimeError):
@@ -56,12 +38,12 @@ class InjectedWorkerKill(HostFaultError):
 
 @dataclass(frozen=True)
 class KillWorker:
-    """Kill worker ``worker`` when it starts its ``at_task``-th task.
+    """Kill the ``at_task``-th task at entry.
 
-    ``at_task`` counts tasks *started by that worker slot* since the
-    injector was armed (0-based). On the thread backend, where pool
-    threads have no stable identity, the ordinal counts all tasks
-    globally and ``worker`` is ignored.
+    ``at_task`` counts tasks started since the injector was armed
+    (0-based). Pool threads have no stable identity, so the ordinal
+    counts all tasks globally; ``worker`` only keys the rule (one kill
+    per distinct ``worker``).
     """
 
     worker: int
@@ -78,7 +60,9 @@ class DelayScan:
             slept). Mirrors the sim schedule's straggler
             ``rate_multiplier``.
         seconds: alternatively, a fixed extra sleep per matching task.
-        worker: restrict to one worker slot (None = any).
+        worker: restrict to one worker slot (None = any). Pool
+            threads have no stable identity, so the thread backend
+            applies the rule to the global task stream.
         every: apply to every ``every``-th matching task (1 = all).
     """
 
@@ -100,17 +84,6 @@ class DelayScan:
             raise ValueError(f"every must be positive, got {self.every}")
 
 
-@dataclass(frozen=True)
-class DropSharedMemory:
-    """Drop the shared layout segment before dispatch ``at_batch``.
-
-    ``at_batch`` is the 0-based ordinal of ``ProcessBackend`` batch
-    dispatches since the injector was armed.
-    """
-
-    at_batch: int
-
-
 @dataclass
 class HostFaultCounters:
     """Recovery activity a host backend accumulated since last reset.
@@ -120,7 +93,6 @@ class HostFaultCounters:
     ``ExecutionReport.fault_stats`` and ``repro.obs.report_metrics``.
     """
 
-    worker_respawns: int = 0
     tasks_requeued: int = 0
     scan_timeouts: int = 0
     abandoned_scans: int = 0
@@ -128,8 +100,7 @@ class HostFaultCounters:
     @property
     def any_activity(self) -> bool:
         return bool(
-            self.worker_respawns
-            or self.tasks_requeued
+            self.tasks_requeued
             or self.scan_timeouts
             or self.abandoned_scans
         )
@@ -137,48 +108,14 @@ class HostFaultCounters:
     def take(self) -> "HostFaultCounters":
         """Snapshot-and-reset (per-search report accounting)."""
         out = HostFaultCounters(
-            worker_respawns=self.worker_respawns,
             tasks_requeued=self.tasks_requeued,
             scan_timeouts=self.scan_timeouts,
             abandoned_scans=self.abandoned_scans,
         )
-        self.worker_respawns = 0
         self.tasks_requeued = 0
         self.scan_timeouts = 0
         self.abandoned_scans = 0
         return out
-
-
-def apply_task_chaos(
-    spec: "dict | None", worker: int, ordinal: int, flush=None
-):
-    """Worker-process side: act on a picklable chaos spec.
-
-    Called at task start with the worker's own task ordinal. Kills
-    exit the process immediately with :data:`CHAOS_EXIT_CODE` —
-    after running ``flush()`` (if given), so results already handed
-    to the queue's feeder thread reach the parent and the schedule
-    stays replayable. Returns the :class:`DelayScan`-shaped delay
-    descriptor to apply (``(multiplier, seconds)``) or ``None``.
-    """
-    if not spec:
-        return None
-    kill_at = spec.get("kills", {}).get(worker)
-    if kill_at is not None and ordinal >= int(kill_at):
-        import os
-
-        if flush is not None:
-            try:
-                flush()
-            except Exception:
-                pass
-        os._exit(CHAOS_EXIT_CODE)
-    for rule in spec.get("delays", ()):
-        if rule["worker"] is not None and rule["worker"] != worker:
-            continue
-        if (ordinal + 1) % rule["every"] == 0:
-            return (rule["multiplier"], rule["seconds"])
-    return None
 
 
 def sleep_for_delay(delay, elapsed: float) -> None:
@@ -203,14 +140,10 @@ class HostFaultInjector:
         self,
         kills: "tuple[KillWorker, ...] | list[KillWorker]" = (),
         delays: "tuple[DelayScan, ...] | list[DelayScan]" = (),
-        shm_drops: (
-            "tuple[DropSharedMemory, ...] | list[DropSharedMemory]"
-        ) = (),
         seed: int = 0,
     ) -> None:
         self.seed = int(seed)
         self.delays = tuple(delays)
-        self.shm_drops = tuple(shm_drops)
         self._kills: dict[int, int] = {}
         for kill in kills:
             at = int(kill.at_task)
@@ -220,7 +153,6 @@ class HostFaultInjector:
             )
         self._lock = threading.Lock()
         self._thread_ordinal = 0
-        self._batch_ordinal = 0
         #: Injections that actually fired (for assertions in tests).
         self.fired: list[str] = []
 
@@ -262,55 +194,6 @@ class HostFaultInjector:
                 )
             )
         return cls(kills=kills, delays=delays, seed=seed)
-
-    # -- parent-side hooks ----------------------------------------------
-
-    def process_spec(self) -> "dict | None":
-        """Picklable spec shipped to worker processes per dispatch.
-
-        Only the still-armed rules; the parent disarms a kill once the
-        death is observed so respawned workers do not crash-loop.
-        """
-        with self._lock:
-            kills = dict(self._kills)
-        delays = [
-            {
-                "worker": rule.worker,
-                "every": rule.every,
-                "multiplier": rule.multiplier,
-                "seconds": rule.seconds,
-            }
-            for rule in self.delays
-        ]
-        if not kills and not delays:
-            return None
-        return {"kills": kills, "delays": delays}
-
-    def on_worker_death(self, worker: int) -> None:
-        """Disarm the kill rule that (presumably) just fired."""
-        with self._lock:
-            if self._kills.pop(int(worker), None) is not None:
-                self.fired.append(f"kill:worker={worker}")
-
-    def check_shared_memory(self, backend) -> None:
-        """Raise ``OSError`` when a shm-drop event covers this dispatch.
-
-        Called by ``ProcessBackend`` before each batch dispatch; also
-        unlinks the live segment so the loss is real, not simulated.
-        """
-        with self._lock:
-            ordinal = self._batch_ordinal
-            self._batch_ordinal += 1
-            due = [d for d in self.shm_drops if d.at_batch == ordinal]
-            if due:
-                self.fired.append(f"shm-drop:batch={ordinal}")
-        if not due:
-            return
-        layout = getattr(backend, "_shared_layout", None)
-        if layout is not None:
-            layout.unlink()
-            backend._shared_layout = None
-        raise OSError(f"chaos: shared layout segment dropped (batch {ordinal})")
 
     # -- thread-backend side --------------------------------------------
 
@@ -354,6 +237,5 @@ class HostFaultInjector:
                 }
                 for rule in self.delays
             ],
-            "shm_drops": [int(d.at_batch) for d in self.shm_drops],
             "fired": list(self.fired),
         }

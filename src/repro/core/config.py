@@ -85,15 +85,11 @@ class HarmonyConfig:
         seed: RNG seed for clustering and sampling.
         backend: execution backend for ``HarmonyDB.search``: ``"sim"``
             (discrete-event simulated cluster, the default), ``"thread"``
-            (real host threads, wall-clock timing), ``"process"``
-            (persistent worker processes over shared-memory shard
-            layouts — multi-core without the GIL), or ``"serial"``
+            (real host threads, wall-clock timing), or ``"serial"``
             (plain loop, the reference oracle). All backends return
             byte-identical results; only the timing side differs.
         n_threads: worker threads for the ``"thread"`` backend
             (None = executor default).
-        n_workers: worker processes for the ``"process"`` backend
-            (None = one per CPU core).
         batch_queries: on the host backends, fuse multi-query batches
             into shard-major matrix-matrix scans (bitwise identical to
             the per-query loop, just faster). False forces one scan
@@ -114,7 +110,7 @@ class HarmonyConfig:
             replica, taking whichever finishes first. ``None`` (the
             default) disables hedging.
         scan_timeout: host-backend straggler watchdog in wall-clock
-            seconds (thread/process backends). ``None`` (default)
+            seconds (thread backend). ``None`` (default)
             disables it; when set, a shard task exceeding the timeout
             is speculatively re-issued with exponential escalation —
             the host mirror of the sim pipeline's retry/hedge path.
@@ -217,7 +213,6 @@ class HarmonyConfig:
     replicas: int = 1
     backend: str = "sim"
     n_threads: "int | None" = None
-    n_workers: "int | None" = None
     batch_queries: bool = True
     degraded_mode: bool = False
     retry_timeout: float = 2e-4
@@ -268,18 +263,14 @@ class HarmonyConfig:
                 f"replicas must be in [1, n_machines], got {self.replicas}"
             )
         self.backend = str(self.backend).lower()
-        if self.backend not in ("sim", "thread", "serial", "process"):
+        if self.backend not in ("sim", "thread", "serial"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; supported backends: "
-                f"process, serial, sim, thread"
+                f"serial, sim, thread"
             )
         if self.n_threads is not None and self.n_threads <= 0:
             raise ValueError(
                 f"n_threads must be positive, got {self.n_threads}"
-            )
-        if self.n_workers is not None and self.n_workers <= 0:
-            raise ValueError(
-                f"n_workers must be positive, got {self.n_workers}"
             )
         self.batch_queries = bool(self.batch_queries)
         self.degraded_mode = bool(self.degraded_mode)

@@ -242,7 +242,7 @@ class HarmonyDB:
     def _refresh_engine(self):
         """Rebuild the sim engine/placement after an index mutation.
 
-        The host backend (thread/process pools, shared segments) is
+        The host backend (thread pool, packed layout) is
         deliberately *kept*: the plan is unchanged, so its kernel
         absorbs the mutation lazily as delta rows / tombstone bits on
         the next search instead of paying a full layout repack.
@@ -265,12 +265,11 @@ class HarmonyDB:
         ``delta_compact_ratio`` trigger.
 
         Searches are byte-identical before and after; compaction only
-        restores packed-layout density after heavy mutation churn (and,
-        on the process backend, re-homes the shared segment once on the
-        next search). Returns a stats dict with ``compacted``,
-        ``generation``, ``delta_rows_merged`` and
-        ``tombstones_cleared``; a no-op (nothing pending, or no host
-        backend active yet) reports ``compacted: False``.
+        restores packed-layout density after heavy mutation churn.
+        Returns a stats dict with ``compacted``, ``generation``,
+        ``delta_rows_merged`` and ``tombstones_cleared``; a no-op
+        (nothing pending, or no host backend active yet) reports
+        ``compacted: False``.
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before compact()")
@@ -396,9 +395,9 @@ class HarmonyDB:
 
         The execution substrate follows ``config.backend``: under
         ``"sim"`` (default) the report carries simulated cluster
-        timings; under ``"thread"`` / ``"process"`` / ``"serial"``
-        the batch runs on the host and the report's
-        ``simulated_seconds`` is measured host wall-clock instead.
+        timings; under ``"thread"`` / ``"serial"`` the batch runs on
+        the host and the report's ``simulated_seconds`` is measured
+        host wall-clock instead.
         """
         if not self.is_built:
             raise RuntimeError("build() must be called before search()")
@@ -764,7 +763,6 @@ class HarmonyDB:
         stats = FaultStats(
             skipped_scans=skipped,
             abandoned_scans=host_faults.abandoned_scans,
-            worker_respawns=host_faults.worker_respawns,
             tasks_requeued=host_faults.tasks_requeued,
             scan_timeouts=host_faults.scan_timeouts,
         )
@@ -788,10 +786,6 @@ class HarmonyDB:
                 self._tracer.trace() if self._tracer is not None else None
             ),
             layout_bytes=backend.layout_nbytes(),
-            worker_steals=(
-                [int(s) for s in backend.last_steal_counts]
-                if backend.name == "process" else None
-            ),
             rerank_candidates=int(backend.last_rerank_count),
             code_bytes=backend.code_nbytes(),
         )
@@ -822,7 +816,7 @@ class HarmonyDB:
     def _get_host_backend(self):
         """The lazily built host backend for the active plan.
 
-        The backend persists across searches (thread/process pools are
+        The backend persists across searches (thread pools are
         expensive to spin up); it is closed and rebuilt whenever the
         plan or placement changes, and released by :meth:`close`.
         Construction is serialized by ``_backend_lock`` so concurrent
@@ -835,31 +829,13 @@ class HarmonyDB:
             backend = self._host_backend
             if backend is not None:
                 return backend
-            from repro.core.executor import (
-                ProcessBackend,
-                SerialBackend,
-                ThreadBackend,
-            )
+            from repro.core.executor import SerialBackend, ThreadBackend
 
             if self.config.backend == "thread":
                 backend = ThreadBackend(
                     self.index,
                     plan=self.plan,
                     n_threads=self.config.n_threads,
-                    prewarm_size=self.config.prewarm_size,
-                    enable_pruning=self.config.enable_pruning,
-                    batch_queries=self.config.batch_queries,
-                    scan_precision=self.config.scan_precision,
-                    scan_timeout=self.config.scan_timeout,
-                    scan_retries=self.config.scan_retries,
-                    delta_compact_ratio=self.config.delta_compact_ratio,
-                    auto_compact=self.config.auto_compact,
-                )
-            elif self.config.backend == "process":
-                backend = ProcessBackend(
-                    self.index,
-                    plan=self.plan,
-                    n_workers=self.config.n_workers,
                     prewarm_size=self.config.prewarm_size,
                     enable_pruning=self.config.enable_pruning,
                     batch_queries=self.config.batch_queries,
@@ -891,14 +867,14 @@ class HarmonyDB:
         return backend
 
     def _drop_host_backend(self) -> None:
-        """Close and forget the host backend (pools, shared memory)."""
+        """Close and forget the host backend (worker pool)."""
         with self._backend_lock:
             backend, self._host_backend = self._host_backend, None
         if backend is not None:
             backend.close()
 
     def close(self) -> None:
-        """Release execution resources (worker pools, shared memory).
+        """Release execution resources (worker pools).
 
         Idempotent; the database remains usable — the next search
         lazily rebuilds whatever backend it needs.
@@ -908,11 +884,10 @@ class HarmonyDB:
     def set_host_faults(self, injector) -> None:
         """Attach a :class:`repro.cluster.HostFaultInjector` (or None).
 
-        Arms deterministic chaos (worker kills, scan delays, shm
-        drops) on the host execution path; the thread and process
-        backends consult the injector at task boundaries. Applies to
-        the current backend and to any backend built later. Pass
-        ``None`` to disarm.
+        Arms deterministic chaos (task kills, scan delays) on the host
+        execution path; the thread backend consults the injector at
+        task boundaries. Applies to the current backend and to any
+        backend built later. Pass ``None`` to disarm.
         """
         if self.config.backend == "sim":
             raise ValueError(
@@ -1074,7 +1049,6 @@ class HarmonyDB:
                 "seed": config.seed,
                 "backend": config.backend,
                 "n_threads": config.n_threads,
-                "n_workers": config.n_workers,
                 "batch_queries": config.batch_queries,
                 "degraded_mode": config.degraded_mode,
                 "retry_timeout": config.retry_timeout,
@@ -1118,7 +1092,13 @@ class HarmonyDB:
     def load(
         cls, path: "str | object", cluster: Cluster | None = None
     ) -> "HarmonyDB":
-        """Reconstruct a deployment saved with :meth:`save`."""
+        """Reconstruct a deployment saved with :meth:`save`.
+
+        Files written before the process backend was removed may carry
+        ``backend="process"`` and an ``n_workers`` key; they load as
+        ``"thread"`` (every backend returns byte-identical results) and
+        the worker count is ignored.
+        """
         import json
 
         from repro.core.partition import PartitionPlan
@@ -1127,6 +1107,9 @@ class HarmonyDB:
 
         with np.load(path, allow_pickle=False) as data:
             config_dict = json.loads(str(data["config"]))
+            config_dict.pop("n_workers", None)
+            if config_dict.get("backend") == "process":
+                config_dict["backend"] = "thread"
             config = HarmonyConfig(**config_dict)
             index = IVFFlatIndex(
                 dim=int(data["base"].shape[1]),

@@ -9,7 +9,6 @@ name      class                       substrate
 ========  ==========================  ===================================
 serial    :class:`SerialBackend`      plain loop (reference oracle)
 thread    :class:`ThreadBackend`      persistent host thread pool
-process   :class:`ProcessBackend`     worker processes over shared memory
 sim       :class:`SimulatedBackend`   discrete-event cluster + timelines
 ========  ==========================  ===================================
 
@@ -29,7 +28,6 @@ from repro.core.executor.kernel import (
     ScanKernel,
     collect_results,
 )
-from repro.core.executor.process import ProcessBackend, ProcessPoolError
 from repro.core.executor.serial import SerialBackend
 from repro.core.executor.simulated import SimulatedBackend
 from repro.core.executor.threads import ThreadBackend
@@ -38,8 +36,6 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "HostBackend",
-    "ProcessBackend",
-    "ProcessPoolError",
     "QueryState",
     "ScanKernel",
     "SerialBackend",

@@ -1,15 +1,13 @@
 """Backend interface: *where* the scan kernel's steps run.
 
 A backend binds the algorithm (one shared :class:`ScanKernel`) to an
-execution substrate. The library ships four:
+execution substrate. The library ships three:
 
 - :class:`~repro.core.executor.serial.SerialBackend` — a plain loop,
   the reference oracle;
 - :class:`~repro.core.executor.threads.ThreadBackend` — real host
-  threads, queries fanned out across a persistent pool;
-- :class:`~repro.core.executor.process.ProcessBackend` — persistent
-  worker processes scanning shared-memory shard layouts with
-  work-stealing scheduling (multi-core without the GIL);
+  threads, shard groups fanned out across a persistent pool (numpy
+  and BLAS release the GIL inside each fused stage);
 - :class:`~repro.core.executor.simulated.SimulatedBackend` — the
   discrete-event cluster, charging compute/comm to machine timelines.
 
@@ -51,7 +49,7 @@ class Backend(abc.ABC):
         """Pruned top-``k`` search for a query batch."""
 
     def close(self) -> None:
-        """Release execution resources (pools, shared memory).
+        """Release execution resources (worker pools).
 
         Idempotent, and a no-op for backends without persistent
         resources; a closed backend may lazily re-acquire resources on
@@ -138,7 +136,7 @@ class HostBackend(Backend):
         #: driving deterministic chaos through this backend. None
         #: (default) keeps the hot path injection-free.
         self.chaos = None
-        #: Recovery activity (respawns / requeues / timeouts /
+        #: Recovery activity (requeues / timeouts /
         #: abandons) since the last ``fault_counters.take()``.
         self.fault_counters = HostFaultCounters()
         #: Optional repro.obs.Tracer recording wall-clock spans, one
@@ -299,13 +297,11 @@ BACKENDS: dict[str, str] = {
     "sim": "repro.core.executor.simulated:SimulatedBackend",
     "thread": "repro.core.executor.threads:ThreadBackend",
     "serial": "repro.core.executor.serial:SerialBackend",
-    "process": "repro.core.executor.process:ProcessBackend",
 }
 
 
 def resolve_backend(name: str) -> type:
-    """Map a backend name (``sim``/``thread``/``serial``/``process``)
-    to its class."""
+    """Map a backend name (``sim``/``thread``/``serial``) to its class."""
     try:
         target = BACKENDS[str(name).lower()]
     except KeyError as exc:

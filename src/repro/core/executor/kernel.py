@@ -4,9 +4,8 @@ Every execution backend — serial reference loop, host thread pool,
 discrete-event simulation — runs the same search algorithm: prewarm the
 top-K heap from the nearest probed list, walk each touched shard's
 candidates through the dimension pipeline with lossless early-stop
-pruning, and merge the survivors into the heap. Historically that
-algorithm lived in two private copies (``PipelineEngine`` and
-``ThreadedSearcher``); :class:`ScanKernel` is its single home.
+pruning, and merge the survivors into the heap. :class:`ScanKernel`
+is its single home.
 
 The kernel is deliberately *timing-free*: it gathers candidates (from a
 cached :class:`~repro.core.layout.ShardPackedBase` when enabled), scores
@@ -599,14 +598,8 @@ class ScanKernel:
         """Accumulate an SQ8 scan's re-rank count (no-op for fp32)."""
         reranked = getattr(scan, "reranked", 0)
         if reranked:
-            self._count_rerank_amount(int(reranked))
-
-    def _count_rerank_amount(self, reranked: int) -> None:
-        """Thread-safe add to the lifetime re-rank counter (backends
-        executing scans out-of-kernel — the process pool — report
-        their workers' counts through this)."""
-        with self._rerank_lock:
-            self.rerank_candidates_total += int(reranked)
+            with self._rerank_lock:
+                self.rerank_candidates_total += int(reranked)
 
     def run_scan(
         self, scan: ShardScan, heap: TopKHeap, shard: int | None = None

@@ -31,14 +31,12 @@ Fault story (host-path robustness):
   can delay tasks (straggler emulation) or kill them at entry
   (:class:`~repro.cluster.host_faults.InjectedWorkerKill`); injected
   kills fire *before* any shared state is touched, so the supervisor
-  simply re-runs the task — the thread-pool analogue of the process
-  backend's requeue-and-respawn.
+  simply re-runs the task.
 - The batched shard-group path supports delay and entry-kill
   injection (retried the same way) but not timeout hedging: group
   tasks merge into shared per-query heaps mid-flight, so duplicating
   one would double-push candidates. Straggler *hedging* therefore
-  needs ``batch_queries=False`` or the process backend, whose tasks
-  are hedge-safe by construction.
+  needs ``batch_queries=False``.
 """
 
 from __future__ import annotations

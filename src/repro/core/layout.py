@@ -16,8 +16,7 @@ one immutable *base generation*; streaming mutations never touch it.
 *delta segments* (rows/ids/norms, plus SQ8 codes encoded against the
 generation's frozen quantization params) and mirrors deletions into a
 *tombstone mask* that gathers apply before any row reaches a heap —
-so an ``add``/``remove`` batch costs O(batch), not O(ntotal), and the
-shared-memory copy of the base never has to be re-homed for it.
+so an ``add``/``remove`` batch costs O(batch), not O(ntotal).
 Because every pruning bound and score is computed per row (partial
 einsums are independent of which other rows share a block), scanning
 base + delta under a tombstone mask is byte-identical to scanning a
@@ -29,7 +28,6 @@ into a new base generation via an ordinary rebuild.
 from __future__ import annotations
 
 import itertools
-import weakref
 
 import numpy as np
 
@@ -37,8 +35,7 @@ from repro.core.partition import PartitionPlan
 from repro.util.growable import GrowableArray
 
 #: Process-wide base-generation ids: every full build/compaction gets
-#: a fresh one, so the process backend can tell "same generation, new
-#: deltas" (overlay sync) from "new generation" (full shm re-home).
+#: a fresh one, so caches keyed by generation never alias layouts.
 _GENERATIONS = itertools.count(1)
 
 #: Smallest admissible per-dimension quantization step. Constant
@@ -97,45 +94,6 @@ def sq8_slice_errors(
         seg = diff[:, start:stop]
         err[:, j] = np.sqrt(np.einsum("ij,ij->i", seg, seg))
     return np.nextafter(err.astype(np.float32), np.float32(np.inf))
-
-
-def _release_owned_segment(shm) -> None:
-    """Finalizer body for owner layouts: drop the mapping, free pages.
-
-    Module-level (not a bound method) so the ``weakref.finalize``
-    callback holds no reference to the layout; it keeps only the
-    ``SharedMemory`` handle alive, which is exactly the resource it
-    must release. Runs at most once — :meth:`SharedShardPackedBase.
-    unlink` detaches it on the explicit-cleanup path.
-    """
-    try:
-        shm.close()
-    except (OSError, BufferError):
-        pass
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-
-
-def _attach_shm(name: str):
-    """Attach an existing segment without resource-tracker tracking.
-
-    Before Python 3.13's ``track=False``, attaching by name registers
-    the segment with the process's ``resource_tracker``, which (a)
-    would unlink the parent-owned segment when a worker exits and (b)
-    races other attachers of the same name on the tracker's shared
-    set, spraying harmless-but-noisy KeyErrors. Only the creating
-    process may own cleanup, so attachers suppress registration.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
 
 
 def _stacked_take(
@@ -219,8 +177,6 @@ class ShardPackedBase:
             can never alias a layout packed from its predecessor.
         generation: base-generation id; moves only on full builds
             (including compactions), never on delta refreshes.
-        delta_version: bumps on every in-place refresh; the process
-            backend syncs its overlay segment when this moves.
     """
 
     def __init__(
@@ -238,7 +194,6 @@ class ShardPackedBase:
         code_scale: np.ndarray | None = None,
         plan: PartitionPlan | None = None,
         index_uid: int = 0,
-        generation: int = 0,
         tombstone: np.ndarray | None = None,
         dead_at_build: int = 0,
     ) -> None:
@@ -257,8 +212,7 @@ class ShardPackedBase:
         self._code_scale = code_scale
         self._plan = plan
         self.index_uid = index_uid
-        self.generation = generation if generation else next(_GENERATIONS)
-        self.delta_version = 0
+        self.generation = next(_GENERATIONS)
         self._tombstone = (
             tombstone
             if tombstone is not None
@@ -454,7 +408,7 @@ class ShardPackedBase:
                 table and the layout stay bitwise in sync.
 
         Returns:
-            True when anything changed (and ``delta_version`` moved).
+            True when anything changed.
         """
         if self.matches(index):
             return False
@@ -490,7 +444,6 @@ class ShardPackedBase:
         )
         self.version = index.version
         self.ntotal = new_n
-        self.delta_version += 1
         return True
 
     def _append_delta(
@@ -816,363 +769,3 @@ class ShardPackedBase:
         )
         local = np.concatenate([local, dlocal])
         return ids, codes, err, norms, rows_full, local
-
-
-class SharedShardPackedBase(ShardPackedBase):
-    """A :class:`ShardPackedBase` whose arrays live in shared memory.
-
-    The process backend's zero-copy data plane: the parent packs every
-    shard's rows / ids / norms into **one**
-    :class:`multiprocessing.shared_memory.SharedMemory` segment
-    (:meth:`from_packed`), ships only the tiny :meth:`manifest` —
-    segment name plus per-array ``(offset, shape, dtype)`` records —
-    to each worker, and workers :meth:`attach` as numpy views over the
-    same physical pages. No vector bytes are ever pickled or copied
-    across the process boundary; staleness is keyed by the same
-    ``(version, ntotal)`` pair as the in-process packed cache.
-
-    Lifecycle: the creating process calls :meth:`unlink` (usually via
-    the owning backend's ``close()``) exactly once; every process —
-    creator and attachers — calls :meth:`close` to drop its mapping.
-    The segment persists until the last mapping closes, so the parent
-    may safely unlink a stale layout while workers still scan it.
-    A ``weakref.finalize`` guard on owner layouts frees the segment
-    at garbage collection or interpreter exit even when ``unlink``
-    was never called, so a crashed or careless caller cannot leak
-    ``/dev/shm`` pages for the life of the machine.
-    """
-
-    def __init__(self, *args, shm=None, owner=False, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._shm = shm
-        self._owner = owner
-        self._spec: dict = {}
-        self._finalizer = (
-            weakref.finalize(self, _release_owned_segment, shm)
-            if owner and shm is not None
-            else None
-        )
-        # Overlay segment: a small, frequently re-published mirror of
-        # the delta segments + tombstone mask. The base segment above
-        # is immutable for the life of its generation; only this
-        # overlay moves when mutations are absorbed.
-        self._overlay_shm = None
-        self._overlay_spec: dict = {}
-        self._overlay_version = -1
-        self._overlay_finalizer = None
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_packed(cls, packed: ShardPackedBase) -> "SharedShardPackedBase":
-        """Re-home an existing packed layout into one shared segment."""
-        from multiprocessing import shared_memory
-
-        arrays: list[tuple[str, np.ndarray]] = []
-        for shard in range(packed.n_shards):
-            arrays.append((f"rows{shard}", packed._rows[shard]))
-            arrays.append((f"ids{shard}", packed._ids[shard]))
-            if packed._norms[shard] is not None:
-                arrays.append((f"norms{shard}", packed._norms[shard]))
-            if packed._codes[shard] is not None:
-                arrays.append((f"codes{shard}", packed._codes[shard]))
-                arrays.append((f"code_err{shard}", packed._code_err[shard]))
-        arrays.append(("list_start", packed._list_start))
-        arrays.append(("list_stop", packed._list_stop))
-        if packed._code_lo is not None:
-            arrays.append(("code_lo", packed._code_lo))
-            arrays.append(("code_scale", packed._code_scale))
-
-        total = sum(arr.nbytes for _, arr in arrays)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        offset = 0
-        spec: dict[str, tuple[int, tuple, str]] = {}
-        views: dict[str, np.ndarray] = {}
-        for key, arr in arrays:
-            view = np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-            )
-            view[...] = arr
-            spec[key] = (offset, tuple(arr.shape), arr.dtype.str)
-            views[key] = view
-            offset += arr.nbytes
-
-        layout = cls(
-            rows=[views[f"rows{s}"] for s in range(packed.n_shards)],
-            ids=[views[f"ids{s}"] for s in range(packed.n_shards)],
-            norms=[
-                views.get(f"norms{s}") for s in range(packed.n_shards)
-            ],
-            list_start=views["list_start"],
-            list_stop=views["list_stop"],
-            version=packed.version,
-            ntotal=packed.ntotal,
-            codes=[
-                views.get(f"codes{s}") for s in range(packed.n_shards)
-            ],
-            code_err=[
-                views.get(f"code_err{s}") for s in range(packed.n_shards)
-            ],
-            code_lo=views.get("code_lo"),
-            code_scale=views.get("code_scale"),
-            plan=packed._plan,
-            index_uid=packed.index_uid,
-            generation=packed.generation,
-            tombstone=packed._tombstone,
-            dead_at_build=packed._dead_at_build,
-            shm=shm,
-            owner=True,
-        )
-        layout._spec = spec
-        layout._adopt_delta_state(packed)
-        return layout
-
-    def _adopt_delta_state(self, packed: ShardPackedBase) -> None:
-        """Take over the source layout's delta segments wholesale.
-
-        The owner keeps deltas in private (host-memory) growth buffers
-        — they stay small by construction, bounded by the compaction
-        ratio — and mirrors them into the overlay segment on
-        :meth:`sync_overlay`.
-        """
-        self._drows = packed._drows
-        self._dids = packed._dids
-        self._dlists = packed._dlists
-        self._dnorms = packed._dnorms
-        self._dcodes = packed._dcodes
-        self._dcode_err = packed._dcode_err
-        self._tombstone = packed._tombstone
-        self._dead_at_build = packed._dead_at_build
-        self._tombstones_since = packed._tombstones_since
-        self.delta_version = packed.delta_version
-
-    @classmethod
-    def build(
-        cls,
-        index: "IVFFlatIndex",
-        plan: PartitionPlan,
-        base_slice_norms: np.ndarray | None = None,
-        with_codes: bool = False,
-    ) -> "SharedShardPackedBase":
-        """Pack straight into shared memory (build + re-home)."""
-        packed = ShardPackedBase.build(
-            index, plan,
-            base_slice_norms=base_slice_norms,
-            with_codes=with_codes,
-        )
-        return cls.from_packed(packed)
-
-    # -- cross-process plumbing ----------------------------------------
-
-    def manifest(self) -> dict:
-        """Picklable description a worker passes to :meth:`attach`.
-
-        ``shm_name`` is the immutable base generation's segment;
-        ``overlay`` (None until the first post-build mutation) names
-        the current delta/tombstone mirror. Workers key their cached
-        attachment on the pair, so delta-only refreshes re-map just
-        the small overlay.
-        """
-        if self._shm is None:
-            raise RuntimeError("layout is not backed by shared memory")
-        overlay = None
-        if self._overlay_shm is not None:
-            overlay = {
-                "shm_name": self._overlay_shm.name,
-                "spec": dict(self._overlay_spec),
-                "delta_version": self._overlay_version,
-            }
-        return {
-            "shm_name": self._shm.name,
-            "n_shards": self.n_shards,
-            "spec": dict(self._spec),
-            "version": self.version,
-            "ntotal": self.ntotal,
-            "uid": self.index_uid,
-            "generation": self.generation,
-            "dead_at_build": self._dead_at_build,
-            "tombstones_since": self._tombstones_since,
-            "overlay": overlay,
-        }
-
-    def sync_overlay(self) -> bool:
-        """Publish the current deltas + tombstones as a fresh overlay.
-
-        No-op while the overlay already mirrors ``delta_version``.
-        Otherwise writes all delta arrays and the tombstone mask into
-        a new (small) shared segment and retires the previous one —
-        workers still scanning it keep valid mappings until they
-        close; new dispatches attach the replacement. The base segment
-        is untouched, so a delta-only mutation batch never re-homes
-        the bulk of the layout.
-
-        Returns:
-            True when a new overlay segment was published.
-        """
-        if (
-            self._overlay_shm is not None
-            and self._overlay_version == self.delta_version
-        ):
-            return False
-        from multiprocessing import shared_memory
-
-        arrays: list[tuple[str, np.ndarray]] = [
-            ("tombstone", self._tombstone)
-        ]
-        for shard in range(self.n_shards):
-            arrays.append((f"drows{shard}", self._drows[shard].view))
-            arrays.append((f"dids{shard}", self._dids[shard].view))
-            arrays.append((f"dlists{shard}", self._dlists[shard].view))
-            if self._dnorms[shard] is not None:
-                arrays.append((f"dnorms{shard}", self._dnorms[shard].view))
-            if self._dcodes[shard] is not None:
-                arrays.append((f"dcodes{shard}", self._dcodes[shard].view))
-                arrays.append(
-                    (f"dcode_err{shard}", self._dcode_err[shard].view)
-                )
-        total = sum(arr.nbytes for _, arr in arrays)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        offset = 0
-        spec: dict[str, tuple[int, tuple, str]] = {}
-        for key, arr in arrays:
-            view = np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-            )
-            view[...] = arr
-            spec[key] = (offset, tuple(arr.shape), arr.dtype.str)
-            offset += arr.nbytes
-        self._retire_overlay()
-        self._overlay_shm = shm
-        self._overlay_spec = spec
-        self._overlay_version = self.delta_version
-        if self._owner:
-            self._overlay_finalizer = weakref.finalize(
-                self, _release_owned_segment, shm
-            )
-        return True
-
-    def _retire_overlay(self) -> None:
-        shm, self._overlay_shm = self._overlay_shm, None
-        finalizer, self._overlay_finalizer = self._overlay_finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        self._overlay_spec = {}
-        self._overlay_version = -1
-        if shm is not None:
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                pass
-            if self._owner:
-                try:
-                    shm.unlink()
-                except (FileNotFoundError, OSError):
-                    pass
-
-    @classmethod
-    def attach(cls, manifest: dict) -> "SharedShardPackedBase":
-        """Map an existing segment read-only-by-convention, zero-copy."""
-        shm = _attach_shm(manifest["shm_name"])
-        spec = manifest["spec"]
-
-        def view(key: str) -> np.ndarray | None:
-            if key not in spec:
-                return None
-            offset, shape, dtype = spec[key]
-            return np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
-            )
-
-        n_shards = manifest["n_shards"]
-        layout = cls(
-            rows=[view(f"rows{s}") for s in range(n_shards)],
-            ids=[view(f"ids{s}") for s in range(n_shards)],
-            norms=[view(f"norms{s}") for s in range(n_shards)],
-            list_start=view("list_start"),
-            list_stop=view("list_stop"),
-            version=manifest["version"],
-            ntotal=manifest["ntotal"],
-            codes=[view(f"codes{s}") for s in range(n_shards)],
-            code_err=[view(f"code_err{s}") for s in range(n_shards)],
-            code_lo=view("code_lo"),
-            code_scale=view("code_scale"),
-            index_uid=manifest.get("uid", 0),
-            generation=manifest.get("generation", 0),
-            shm=shm,
-            owner=False,
-        )
-        layout._spec = dict(spec)
-        overlay = manifest.get("overlay")
-        if overlay is not None:
-            layout._attach_overlay(manifest, overlay)
-        return layout
-
-    def _attach_overlay(self, manifest: dict, overlay: dict) -> None:
-        """Map the delta/tombstone overlay alongside the base views."""
-        shm = _attach_shm(overlay["shm_name"])
-        spec = overlay["spec"]
-
-        def view(key: str) -> np.ndarray | None:
-            if key not in spec:
-                return None
-            offset, shape, dtype = spec[key]
-            return np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
-            )
-
-        def wrap(key: str):
-            arr = view(key)
-            return None if arr is None else GrowableArray.wrap(arr)
-
-        n_shards = self.n_shards
-        self._drows = [wrap(f"drows{s}") for s in range(n_shards)]
-        self._dids = [wrap(f"dids{s}") for s in range(n_shards)]
-        self._dlists = [wrap(f"dlists{s}") for s in range(n_shards)]
-        self._dnorms = [wrap(f"dnorms{s}") for s in range(n_shards)]
-        self._dcodes = [wrap(f"dcodes{s}") for s in range(n_shards)]
-        self._dcode_err = [wrap(f"dcode_err{s}") for s in range(n_shards)]
-        self._tombstone = view("tombstone")
-        self._dead_at_build = manifest.get("dead_at_build", 0)
-        self._tombstones_since = manifest.get("tombstones_since", 0)
-        self.delta_version = overlay.get("delta_version", 0)
-        self._overlay_shm = shm
-        self._overlay_spec = dict(spec)
-        self._overlay_version = self.delta_version
-
-    # -- lifecycle ------------------------------------------------------
-
-    @property
-    def shm_name(self) -> str | None:
-        return None if self._shm is None else self._shm.name
-
-    def close(self) -> None:
-        """Drop this process's mappings (views become invalid)."""
-        shm, self._shm = self._shm, None
-        self._rows = self._ids = self._norms = []  # release buffer refs
-        self._codes = self._code_err = []
-        self._drows = self._dids = self._dlists = []
-        self._dnorms = self._dcodes = self._dcode_err = []
-        self._tombstone = np.zeros(0, dtype=bool)
-        self._list_start = self._list_stop = None
-        self._code_lo = self._code_scale = None
-        self._retire_overlay()
-        if shm is not None:
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                pass
-
-    def unlink(self) -> None:
-        """Free the segments (creator only); also closes the mappings."""
-        shm = self._shm
-        owner = self._owner
-        finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        self.close()  # retires the overlay (unlinking it when owner)
-        self._owner = False
-        if shm is not None and owner:
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass

@@ -53,10 +53,8 @@ class FaultStats:
             replica existed (``degraded_mode`` only).
         abandoned_scans: shard scans abandoned mid-run after exhausting
             retries (``degraded_mode`` only).
-        worker_respawns: dead host-backend worker processes replaced
-            by the supervisor during the batch.
-        tasks_requeued: (query-group, shard) tasks re-issued to
-            surviving workers after a worker death or injected kill.
+        tasks_requeued: (query-group, shard) tasks re-run by the
+            host supervisor after an injected kill.
         scan_timeouts: tasks that exceeded ``scan_timeout`` and were
             hedged onto a fresh attempt by the straggler watchdog.
     """
@@ -68,7 +66,6 @@ class FaultStats:
     dropped_messages: int = 0
     skipped_scans: int = 0
     abandoned_scans: int = 0
-    worker_respawns: int = 0
     tasks_requeued: int = 0
     scan_timeouts: int = 0
 
@@ -83,7 +80,6 @@ class FaultStats:
                 self.dropped_messages,
                 self.skipped_scans,
                 self.abandoned_scans,
-                self.worker_respawns,
                 self.tasks_requeued,
                 self.scan_timeouts,
             )
@@ -98,7 +94,6 @@ class FaultStats:
             "dropped_messages": self.dropped_messages,
             "skipped_scans": self.skipped_scans,
             "abandoned_scans": self.abandoned_scans,
-            "worker_respawns": self.worker_respawns,
             "tasks_requeued": self.tasks_requeued,
             "scan_timeouts": self.scan_timeouts,
         }
@@ -187,12 +182,10 @@ class ExecutionReport:
             search ran with ``degraded_mode=True``).
         trace: span snapshot (:class:`repro.obs.trace.Trace`) of the
             run, when a tracer was attached (None otherwise).
-        layout_bytes: resident bytes of the packed (or shared-memory)
-            shard layout the executing backend scanned from; ``0``
+        layout_bytes: resident bytes of the packed shard layout the
+            executing backend scanned from; ``0``
             when no packed layout was in play (sim backend, packing
             disabled).
-        worker_steals: per-worker successful work-steals during the
-            batch (process backend only; None elsewhere).
         rerank_candidates: survivors re-ranked against fp32 rows during
             the batch (``0`` on the fp32 scan path, where candidate
             scores are already exact).
@@ -253,7 +246,6 @@ class ExecutionReport:
     degraded: DegradedReport | None = None
     trace: "object | None" = None
     layout_bytes: int = 0
-    worker_steals: "list[int] | None" = None
     rerank_candidates: int = 0
     code_bytes: int = 0
     routing_cache_hits: int = 0
@@ -376,8 +368,6 @@ class ExecutionReport:
             "layout_refreshes": int(self.layout_refreshes),
             "layout_compactions": int(self.layout_compactions),
         }
-        if self.worker_steals is not None:
-            out["worker_steals"] = [int(s) for s in self.worker_steals]
         if self.latencies.size:
             out["latency"] = {
                 "mean": self.mean_latency,

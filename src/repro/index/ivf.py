@@ -25,7 +25,7 @@ from repro.util.growable import GrowableArray
 
 #: Process-wide source of index identities. Every constructed index —
 #: including one rebuilt by ``load()`` — gets a fresh uid, so derived
-#: caches (packed layouts, shm segments) can never alias across index
+#: caches (packed layouts, cached results) can never alias across index
 #: *objects* even when their ``(version, ntotal)`` counters collide
 #: (e.g. a reloaded index whose version restarted at 0).
 _UIDS = itertools.count(1)

@@ -400,14 +400,6 @@ def report_metrics(
             "harmony_queue_wait_seconds_total",
             "Serving-layer coalescing queue wait, summed over requests",
         ).inc(queue_seconds)
-    worker_steals = getattr(report, "worker_steals", None)
-    if worker_steals is not None:
-        for worker, steals in enumerate(worker_steals):
-            registry.counter(
-                "harmony_worker_steals_total",
-                "Work-stealing task migrations per pool worker",
-                worker=worker,
-            ).inc(float(steals))
     if report.pruning is not None:
         total_scans = float(report.pruning.totals[0])
         registry.counter(

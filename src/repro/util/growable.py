@@ -63,21 +63,6 @@ class GrowableArray:
         array = np.asarray(array)
         return cls(row_shape=array.shape[1:], dtype=array.dtype, initial=array)
 
-    @classmethod
-    def wrap(cls, array: np.ndarray) -> "GrowableArray":
-        """Alias an existing array as the full contents, zero-copy.
-
-        Used to present externally-owned storage (e.g. shared-memory
-        views) through the growable interface. The wrapped array is at
-        exact capacity, so the first ``append`` reallocates into
-        private memory and leaves it untouched.
-        """
-        array = np.asarray(array)
-        grown = cls(row_shape=array.shape[1:], dtype=array.dtype)
-        grown._buf = array
-        grown._n = array.shape[0]
-        return grown
-
     def __len__(self) -> int:
         return self._n
 

@@ -4,7 +4,7 @@ One retry policy shared by the two recovery paths that wait things
 out: the simulated pipeline's crashed-worker retries
 (:meth:`repro.core.pipeline.PipelineEngine._robust_compute`) and the
 host supervisor's straggler watchdog
-(:class:`repro.core.executor.process.ProcessBackend`). Both need the
+(:class:`repro.core.executor.threads.ThreadBackend`). Both need the
 same shape — attempt ``i`` waits ``base * factor**i``, optionally
 capped and jittered — and both need **replayable** delays: a fault
 timeline must replay byte-identically from its seed, so the jitter is

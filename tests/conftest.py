@@ -69,8 +69,6 @@ def make_db(
     env_backend = os.environ.get("HARMONY_BACKEND")
     if env_backend and "backend" not in overrides:
         overrides["backend"] = env_backend
-        if env_backend == "process" and "n_workers" not in overrides:
-            overrides["n_workers"] = 2
     env_precision = os.environ.get("HARMONY_SCAN_PRECISION")
     if env_precision and "scan_precision" not in overrides:
         overrides["scan_precision"] = env_precision

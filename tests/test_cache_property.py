@@ -153,42 +153,6 @@ def test_epsilon_zero_degenerates_to_exact(
         plain.close()
 
 
-@pytest.mark.parametrize("precision", ["fp32", "sq8"])
-def test_interleavings_process_backend(precision, saved_index, tiny_queries):
-    """The process pool with the cache attached stays byte-identical
-    through deltas, tombstones, and a mid-sequence compaction
-    (deterministic — a persistent pool per hypothesis example would
-    dominate the suite's runtime)."""
-    cached = _twin(saved_index, "process", precision, enable_cache=True)
-    plain = _twin(saved_index, "process", precision, enable_cache=False)
-    rng = np.random.default_rng(9)
-    try:
-        for step in range(3):
-            rows = rng.standard_normal((12, 32)).astype(np.float32)
-            cached.add(rows)
-            plain.add(rows)
-            alive = np.flatnonzero(~cached.index.deleted_mask)
-            victims = rng.choice(alive, size=4, replace=False)
-            cached.remove(victims)
-            plain.remove(victims)
-            for _ in range(2):
-                got, _ = cached.search(tiny_queries, k=5)
-                ref, _ = plain.search(tiny_queries, k=5)
-                np.testing.assert_array_equal(got.ids, ref.ids)
-                np.testing.assert_array_equal(got.distances, ref.distances)
-        cached.compact()
-        plain.compact()
-        for _ in range(2):
-            got, report = cached.search(tiny_queries, k=5)
-            ref, _ = plain.search(tiny_queries, k=5)
-            np.testing.assert_array_equal(got.ids, ref.ids)
-            np.testing.assert_array_equal(got.distances, ref.distances)
-        assert report.result_cache_hits == tiny_queries.shape[0]
-    finally:
-        cached.close()
-        plain.close()
-
-
 def test_semantic_entry_never_crosses_layout_generation(
     saved_index, tiny_queries
 ):

@@ -5,6 +5,9 @@ import pytest
 
 from repro.core.config import HarmonyConfig
 from repro.core.database import HarmonyDB
+from repro.core.executor import SerialBackend, ThreadBackend
+from repro.core.partition import build_plan
+from repro.index.ivf import IVFFlatIndex
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +32,11 @@ def build_db(data, **config_kwargs):
 
 class TestHarmonyDBBackends:
     def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            HarmonyConfig(backend="mpi")
+        for name in ("mpi", "process"):
+            with pytest.raises(
+                ValueError, match="supported backends: serial, sim, thread"
+            ):
+                HarmonyConfig(backend=name)
         with pytest.raises(ValueError, match="n_threads"):
             HarmonyConfig(backend="thread", n_threads=0)
 
@@ -81,6 +87,74 @@ class TestHarmonyDBBackends:
         got, _ = loaded.search(queries, k=5)
         want, _ = db.search(queries, k=5)
         np.testing.assert_array_equal(got.ids, want.ids)
+
+    def test_load_process_backend_file_as_thread(self, data, tmp_path):
+        """Files saved with the removed process backend still load.
+
+        They carry ``backend="process"`` and an ``n_workers`` key in
+        their config JSON; both map onto the thread backend.
+        """
+        import json
+
+        db = build_db(data, backend="thread", n_threads=2)
+        path = tmp_path / "db.npz"
+        db.save(path)
+        with np.load(path, allow_pickle=False) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        config = json.loads(str(arrays["config"]))
+        config.update(backend="process", n_workers=2)
+        arrays["config"] = np.array(json.dumps(config))
+        legacy = tmp_path / "legacy.npz"
+        np.savez_compressed(legacy, **arrays)
+
+        loaded = HarmonyDB.load(legacy)
+        try:
+            assert loaded.config.backend == "thread"
+            base, queries = data
+            got, report = loaded.search(queries, k=5)
+            want, _ = db.search(queries, k=5)
+            np.testing.assert_array_equal(got.ids, want.ids)
+            assert "[thread backend" in report.plan_summary
+        finally:
+            loaded.close()
+            db.close()
+
+    def test_report_metrics_publishes_layout_bytes(self, data):
+        from repro.obs.metrics import report_metrics
+
+        base, queries = data
+        db = build_db(data, backend="thread", n_threads=2)
+        try:
+            _, report = db.search(queries, k=5)
+            registry = report_metrics(report)
+            assert "harmony_layout_bytes" in registry.to_prometheus()
+            dumped = registry.to_dict()
+            assert dumped["harmony_layout_bytes"]["series"][0]["value"] > 0
+        finally:
+            db.close()
+
+
+def test_thread_backend_pool_persists_and_revives(data):
+    base, queries = data
+    index = IVFFlatIndex(dim=32, nlist=16, seed=0)
+    index.train(base)
+    index.add(base)
+    plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
+    backend = ThreadBackend(index, plan=plan, n_threads=2)
+    assert backend._pool is None  # lazy: no threads until first search
+    backend.search(queries, k=5, nprobe=4)
+    pool = backend._pool
+    assert pool is not None
+    backend.search(queries, k=5, nprobe=4)
+    assert backend._pool is pool  # reused across calls
+    backend.close()
+    assert backend._pool is None
+    backend.close()  # idempotent
+    result = backend.search(queries, k=5, nprobe=4)  # revives
+    assert backend._pool is not None
+    reference = SerialBackend(index, plan=plan).search(queries, k=5, nprobe=4)
+    np.testing.assert_array_equal(result.ids, reference.ids)
+    backend.close()
 
 
 class TestCLIBackend:

@@ -1,4 +1,4 @@
-"""Cross-backend exactness: serial == thread == process == simulated.
+"""Cross-backend exactness: serial == thread == simulated.
 
 The executor refactor's contract: every backend runs the one shared
 ``ScanKernel``, so ids and distances are byte-identical across
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import HarmonyConfig
 from repro.core.executor import (
-    ProcessBackend,
     SerialBackend,
     SimulatedBackend,
     ThreadBackend,
@@ -115,18 +114,12 @@ def test_three_backends_identical(metric, prewarm, filtered, precision):
 
     kwargs = dict(k=5, nprobe=4, filter_labels=filter_labels)
     reference = oracle.search(queries, **kwargs)
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, prewarm_size=prewarm,
-        scan_precision=precision,
-    ) as process:
-        results = {
-            "serial": serial.search(queries, **kwargs),
-            "thread": thread.search(queries, **kwargs),
-            "process": process.search(queries, **kwargs),
-            "sim-canonical": sim_canonical.search(queries, **kwargs),
-            "sim-default": sim_default.search(queries, **kwargs),
-        }
-        assert not process.fallback_active
+    results = {
+        "serial": serial.search(queries, **kwargs),
+        "thread": thread.search(queries, **kwargs),
+        "sim-canonical": sim_canonical.search(queries, **kwargs),
+        "sim-default": sim_default.search(queries, **kwargs),
+    }
     assert_equivalent(
         results,
         reference.ids,
@@ -134,7 +127,6 @@ def test_three_backends_identical(metric, prewarm, filtered, precision):
         bitwise={
             "serial": True,
             "thread": True,
-            "process": True,
             "sim-canonical": True,
             "sim-default": False,
         },
@@ -150,37 +142,28 @@ def test_backends_identical_after_mutations(metric, precision):
     plan = build_plan(index, n_machines=4, n_vector_shards=2, n_dim_blocks=2)
 
     # Interleave grows and tombstoned deletes, validating after each.
-    # One persistent process pool spans every step, so its shared
-    # layout — on sq8 including the code segments and their
-    # quantization parameters — must invalidate and rebuild on each
-    # version bump.
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, scan_precision=precision
-    ) as process:
-        for step in range(3):
-            extra = rng.standard_normal((40, index.dim)).astype(np.float32)
-            index.add(extra, labels=rng.integers(0, N_LABELS, 40))
-            alive = np.flatnonzero(~index._deleted)
-            index.remove_ids(rng.choice(alive, size=15, replace=False))
+    for step in range(3):
+        extra = rng.standard_normal((40, index.dim)).astype(np.float32)
+        index.add(extra, labels=rng.integers(0, N_LABELS, 40))
+        alive = np.flatnonzero(~index._deleted)
+        index.remove_ids(rng.choice(alive, size=15, replace=False))
 
-            oracle = SerialBackend(index, plan=plan)
-            thread = ThreadBackend(
-                index, plan=plan, n_threads=4, scan_precision=precision
-            )
-            sim = sim_backend(
-                index, plan, prewarm_size=32, canonical_order=True,
-                scan_precision=precision,
-            )
-            reference = oracle.search(queries, k=5, nprobe=4)
-            results = {
-                "thread": thread.search(queries, k=5, nprobe=4),
-                "process": process.search(queries, k=5, nprobe=4),
-                "sim-canonical": sim.search(queries, k=5, nprobe=4),
-            }
-            assert_equivalent(
-                results, reference.ids, reference.distances, bitwise={}
-            )
-        assert not process.fallback_active
+        oracle = SerialBackend(index, plan=plan)
+        thread = ThreadBackend(
+            index, plan=plan, n_threads=4, scan_precision=precision
+        )
+        sim = sim_backend(
+            index, plan, prewarm_size=32, canonical_order=True,
+            scan_precision=precision,
+        )
+        reference = oracle.search(queries, k=5, nprobe=4)
+        results = {
+            "thread": thread.search(queries, k=5, nprobe=4),
+            "sim-canonical": sim.search(queries, k=5, nprobe=4),
+        }
+        assert_equivalent(
+            results, reference.ids, reference.distances, bitwise={}
+        )
 
 
 def test_serial_backend_matches_single_node_scan():
@@ -204,9 +187,9 @@ def test_resolve_backend_names():
     assert resolve_backend("serial") is SerialBackend
     assert resolve_backend("THREAD") is ThreadBackend
     assert resolve_backend("sim") is SimulatedBackend
-    assert resolve_backend("process") is ProcessBackend
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("mpi")
+    for name in ("mpi", "process"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(name)
 
 
 @pytest.mark.parametrize("precision", ["fp32", "sq8"])
@@ -232,38 +215,33 @@ def test_batched_search_matches_per_query_loop(
     looped = SerialBackend(
         index, plan=plan, prewarm_size=prewarm, batch_queries=False
     ).search(queries, **kwargs)
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, prewarm_size=prewarm,
-        batch_queries=True, scan_precision=precision,
-    ) as process:
-        results = {
-            "looped-serial": SerialBackend(
-                index, plan=plan, prewarm_size=prewarm, batch_queries=False,
-                scan_precision=precision,
-            ).search(queries, **kwargs),
-            "batched-serial": SerialBackend(
-                index, plan=plan, prewarm_size=prewarm, batch_queries=True,
-                scan_precision=precision,
-            ).search(queries, **kwargs),
-            "batched-thread": ThreadBackend(
-                index, plan=plan, n_threads=4, prewarm_size=prewarm,
-                batch_queries=True, scan_precision=precision,
-            ).search(queries, **kwargs),
-            "batched-process": process.search(queries, **kwargs),
-        }
+    results = {
+        "looped-serial": SerialBackend(
+            index, plan=plan, prewarm_size=prewarm, batch_queries=False,
+            scan_precision=precision,
+        ).search(queries, **kwargs),
+        "batched-serial": SerialBackend(
+            index, plan=plan, prewarm_size=prewarm, batch_queries=True,
+            scan_precision=precision,
+        ).search(queries, **kwargs),
+        "batched-thread": ThreadBackend(
+            index, plan=plan, n_threads=4, prewarm_size=prewarm,
+            batch_queries=True, scan_precision=precision,
+        ).search(queries, **kwargs),
+    }
     assert_equivalent(results, looped.ids, looped.distances, bitwise={})
 
 
 @pytest.mark.parametrize("precision", ["fp32", "sq8"])
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("batch_queries", [True, False])
-def test_process_degraded_mode_parity(metric, batch_queries, precision):
+def test_thread_degraded_mode_parity(metric, batch_queries, precision):
     """Skipped shards and coverage accounting match the serial oracle.
 
     Degraded mode (shards with no live replica) must produce the same
     partial results AND the same per-query ``[scanned, total]``
-    coverage ledger whether the scan ran in-process or across the
-    worker pool — under either scan precision (the reference is the
+    coverage ledger whether the scan ran on the caller or across the
+    thread pool — under either scan precision (the reference is the
     fp32 serial loop in both cases).
     """
     index = make_index(metric)
@@ -285,18 +263,17 @@ def test_process_degraded_mode_parity(metric, batch_queries, precision):
     np.testing.assert_array_equal(local.distances, reference.distances)
     np.testing.assert_array_equal(cov_sq8, cov_serial)
 
-    cov_process = np.zeros((queries.shape[0], 2), dtype=np.int64)
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, batch_queries=batch_queries,
+    cov_thread = np.zeros((queries.shape[0], 2), dtype=np.int64)
+    with ThreadBackend(
+        index, plan=plan, n_threads=2, batch_queries=batch_queries,
         scan_precision=precision,
-    ) as process:
-        result = process.search(
-            queries, k=5, nprobe=4, skip_shards=skip, coverage=cov_process
+    ) as thread:
+        result = thread.search(
+            queries, k=5, nprobe=4, skip_shards=skip, coverage=cov_thread
         )
-        assert not process.fallback_active
     np.testing.assert_array_equal(result.ids, reference.ids)
     np.testing.assert_array_equal(result.distances, reference.distances)
-    np.testing.assert_array_equal(cov_process, cov_serial)
+    np.testing.assert_array_equal(cov_thread, cov_serial)
     assert (cov_serial[:, 1] >= cov_serial[:, 0]).all()
 
 
@@ -351,20 +328,15 @@ def test_property_batched_equals_looped(
     looped = SerialBackend(
         index, plan=plan, prewarm_size=prewarm, batch_queries=False
     ).search(queries, **kwargs)
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, prewarm_size=prewarm,
-        batch_queries=True,
-    ) as process:
-        results = {
-            "batched-serial": SerialBackend(
-                index, plan=plan, prewarm_size=prewarm, batch_queries=True
-            ).search(queries, **kwargs),
-            "batched-thread": ThreadBackend(
-                index, plan=plan, n_threads=2, prewarm_size=prewarm,
-                batch_queries=True,
-            ).search(queries, **kwargs),
-            "batched-process": process.search(queries, **kwargs),
-        }
+    results = {
+        "batched-serial": SerialBackend(
+            index, plan=plan, prewarm_size=prewarm, batch_queries=True
+        ).search(queries, **kwargs),
+        "batched-thread": ThreadBackend(
+            index, plan=plan, n_threads=2, prewarm_size=prewarm,
+            batch_queries=True,
+        ).search(queries, **kwargs),
+    }
     assert_equivalent(results, looped.ids, looped.distances, bitwise={})
 
 
@@ -414,14 +386,9 @@ def test_property_backend_equivalence(
     )
 
     reference = oracle.search(queries, **kwargs)
-    with ProcessBackend(
-        index, plan=plan, n_workers=2, prewarm_size=prewarm,
-        scan_precision=precision,
-    ) as process:
-        results = {
-            "serial": serial.search(queries, **kwargs),
-            "thread": thread.search(queries, **kwargs),
-            "process": process.search(queries, **kwargs),
-            "sim-canonical": sim.search(queries, **kwargs),
-        }
+    results = {
+        "serial": serial.search(queries, **kwargs),
+        "thread": thread.search(queries, **kwargs),
+        "sim-canonical": sim.search(queries, **kwargs),
+    }
     assert_equivalent(results, reference.ids, reference.distances, bitwise={})

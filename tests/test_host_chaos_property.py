@@ -2,8 +2,8 @@
 
 The host twin of ``tests/test_chaos_property.py``: instead of scripting
 failures on the simulated timeline, a seeded
-:class:`~repro.cluster.host_faults.HostFaultInjector` kills real worker
-processes mid-batch, injects straggler delays, and the supervised pools
+:class:`~repro.cluster.host_faults.HostFaultInjector` kills pool
+tasks mid-batch, injects straggler delays, and the supervised pool
 must uphold the same contract the sim pipeline pins:
 
 - a query whose coverage is 1.0 returns results **byte-exact** against
@@ -30,19 +30,11 @@ from tests.test_chaos_property import _assert_genuine
 
 CHAOS_SEEDS = [0, 1, 2, 3, 4, 5]
 
-HOST_BACKENDS = ["thread", "process"]
-
-
-def _backend_kwargs(backend: str) -> dict:
-    if backend == "process":
-        return {"backend": "process", "n_workers": 2}
-    return {"backend": "thread", "n_threads": 2}
+HOST_BACKENDS = ["thread"]
 
 
 def _make_chaos_db(data, queries, backend, **overrides):
-    kwargs = _backend_kwargs(backend)
-    kwargs.update(overrides)
-    return make_db(data, queries, **kwargs)
+    return make_db(data, queries, backend=backend, n_threads=2, **overrides)
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -78,7 +70,7 @@ def test_host_chaos_exact_or_flagged(tiny_data, tiny_queries, backend, seed):
 def test_host_chaos_without_degraded_mode_stays_exact(
     tiny_data, tiny_queries, backend, seed
 ):
-    """Exact mode: recovery (requeue / retry / fallback) must be total.
+    """Exact mode: recovery (requeue / retry) must be total.
 
     Without ``degraded_mode`` there is no abandonment escape hatch —
     every injected kill must be healed by re-running its tasks, so the
@@ -97,11 +89,7 @@ def test_host_chaos_without_degraded_mode_stays_exact(
         np.testing.assert_array_equal(result.distances, oracle.distances)
         if injector.fired and report.fault_stats is not None:
             stats = report.fault_stats.to_dict()
-            assert (
-                stats["worker_respawns"]
-                or stats["tasks_requeued"]
-                or stats["scan_timeouts"]
-            )
+            assert stats["tasks_requeued"] or stats["scan_timeouts"]
     finally:
         db.close()
 
@@ -124,7 +112,6 @@ def test_host_chaos_next_search_runs_clean(tiny_data, tiny_queries, backend):
         np.testing.assert_array_equal(result.distances, oracle.distances)
         stats = report.fault_stats
         if stats is not None:
-            assert stats.worker_respawns == 0
             assert stats.tasks_requeued == 0
     finally:
         db.close()

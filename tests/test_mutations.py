@@ -320,44 +320,3 @@ def test_interleavings_match_serial_oracle(
         np.testing.assert_array_equal(result.ids, ref_ids)
     finally:
         db.close()
-
-
-@pytest.mark.parametrize("precision", ["fp32", "sq8"])
-def test_interleavings_process_backend(
-    precision, saved_index, tiny_queries
-):
-    """The process pool (one persistent pool across the whole
-    interleaving) stays byte-identical through deltas, tombstones and
-    a mid-sequence compaction, without the shm base ever re-homing."""
-    index = IVFFlatIndex.load(io.BytesIO(saved_index))
-    config = HarmonyConfig(
-        n_machines=4,
-        nlist=16,
-        nprobe=4,
-        backend="process",
-        n_workers=2,
-        scan_precision=precision,
-        delta_compact_ratio=0.5,
-    )
-    db = HarmonyDB.from_trained_index(index, config=config)
-    rng = np.random.default_rng(9)
-    try:
-        db.search(tiny_queries, k=5)
-        backend = db._host_backend
-        for step in range(3):
-            db.add(rng.standard_normal((12, 32)).astype(np.float32))
-            alive = np.flatnonzero(~db.index.deleted_mask)
-            db.remove(rng.choice(alive, size=4, replace=False))
-            result, _ = db.search(tiny_queries, k=5)
-            _, ref_ids = db.index.search(tiny_queries, k=5, nprobe=4)
-            np.testing.assert_array_equal(result.ids, ref_ids)
-        assert backend.shm_base_rehomes == 1  # never re-homed
-        assert backend.shm_overlay_syncs >= 3
-        db.compact()
-        result, _ = db.search(tiny_queries, k=5)
-        _, ref_ids = db.index.search(tiny_queries, k=5, nprobe=4)
-        np.testing.assert_array_equal(result.ids, ref_ids)
-        assert backend.shm_base_rehomes == 2  # exactly the compaction
-        assert not backend.fallback_active
-    finally:
-        db.close()

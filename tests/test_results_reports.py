@@ -128,7 +128,6 @@ class TestFaultStatsDict:
             "dropped_messages",
             "skipped_scans",
             "abandoned_scans",
-            "worker_respawns",
             "tasks_requeued",
             "scan_timeouts",
         ]
